@@ -447,7 +447,7 @@ def collect_metrics(repeats_scale: int = 1, smoke: bool = False) -> tuple[dict, 
     # One full run_entry on the self-test cell (solve + both backends under
     # DPOR with crash injection + round-trip extraction), repeated with the
     # solve memoized — the steady state of `repro conform --sweep` where the
-    # witness is cached and the mc/extraction walks dominate.  The PASS
+    # witness is cached and the mc walks dominate.  The PASS
     # status is asserted (a FAIL here is a conformance bug, not a perf
     # number); the throughput floor is enforced via
     # ``compare_bench --min-speedup e20.conform.warm.entries_per_sec=N``.
@@ -476,6 +476,8 @@ def collect_metrics(repeats_scale: int = 1, smoke: bool = False) -> tuple[dict, 
         round(1.0 / e20_warm, 2) if e20_warm > 0 else 0.0
     )
     metrics["e20.conform.schedules"] = e20_result.schedules
+    # Untracked: the number of distinct stage-3 outcomes the extraction
+    # folds — extraction drives no executions of its own.
     metrics["e20.conform.extraction_runs"] = e20_result.extraction_runs
     tracked.append("e20.conform.warm.seconds")
 

@@ -746,7 +746,7 @@ def _conform_line(result) -> str:
         f"{backend}:{mode}" for backend, mode in sorted(result.backends.items())
     )
     line += (f" b={result.rounds} schedules={result.schedules} "
-             f"extract={result.extraction_runs} [{backends}]")
+             f"extract={result.extraction_runs} outcomes folded [{backends}]")
     if result.status == "FAIL":
         line += f"\n     {result.violation}"
         if result.minimized_to is not None:
@@ -800,7 +800,8 @@ def _cmd_conform(args: argparse.Namespace) -> int:
             failed = sum(1 for r in results if r.status == "FAIL")
             print(f"{passed} PASS, {skipped} SKIP, {failed} FAIL "
                   f"({sum(r.schedules for r in results)} schedules, "
-                  f"{sum(r.extraction_runs for r in results)} extraction runs)")
+                  f"{sum(r.extraction_runs for r in results)} outcomes folded "
+                  "by extraction)")
         return 0 if all(r.ok for r in results) else 1
 
     if not args.task:

@@ -10,7 +10,7 @@ solvable ``(task, model, rounds)`` triple (DESIGN.md §3.9):
 3. run each under the mc subsystem with DPOR + systematic crash injection,
    checking Δ-compliance, the IS/snapshot invariants, and — for non-iis
    models — compliance restricted to model-admitted runs,
-4. extract the decision map back from the executed protocol and assert
+4. fold the executions step 3 drove back into a decision map and assert
    byte-identity with the solver's witness,
 5. on any failure, ddmin-minimize the schedule and emit a deterministic
    ``repro-mc-replay-v1`` file.

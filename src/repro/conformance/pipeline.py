@@ -7,8 +7,8 @@ One :func:`run_entry` call verifies one zoo × model cell end to end:
   the sweep asserts the *reason*, not just the absence of a PASS.
 * **PASS** — both synthesized backends (IIS blocks; SWMR registers via the
   levels simulation) survive DPOR exploration with crash injection on every
-  input simplex, and the decision map extracted back from the executed
-  protocol is byte-identical to the solver's witness.
+  input simplex, and the decision map extracted back from the executions
+  that exploration drove is byte-identical to the solver's witness.
 * **FAIL** — some property violation was found; the schedule is
   ddmin-minimized, serialized as a ``repro-mc-replay-v1`` document, and
   re-driven in memory to confirm the file reproduces the violation.
@@ -16,35 +16,40 @@ One :func:`run_entry` call verifies one zoo × model cell end to end:
 Cost policy (DESIGN.md §3.9): the IIS backend is explored exhaustively
 everywhere; the levels backend is explored exhaustively up to 3 processes
 and spot-checked under seeded random schedules past that, where its
-interleaving space outgrows exhaustive search.  Extraction mirrors the same
-split.
+interleaving space outgrows exhaustive search.  Extraction runs no protocol
+of its own: it folds the terminal outcomes of the exhaustive explorations
+(each process decides its ``(final_view, value)`` pair), so it covers
+exactly the backends explored exhaustively.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator, Mapping
 
 from repro.conformance.entries import SELF_TEST_ENTRY, ConformanceEntry
 from repro.conformance.scenario import (
     ConformanceScenario,
-    SolvedBundle,
     mutated_decisions,
     mutation_domain,
     solved_bundle,
 )
 from repro.core.extraction import ExtractionError, extract_decision_map
-from repro.core.protocol_synthesis import SynthesizedProtocol
 from repro.core.solvability import SolvabilityStatus, validate_decision_map
-from repro.mc.explorer import CrashBudget, ExploreOptions, Violation, _check, explore
+from repro.mc.explorer import (
+    CrashBudget,
+    ExploreOptions,
+    Outcome,
+    Violation,
+    _check,
+    explore,
+)
 from repro.mc.minimize import minimize_schedule
 from repro.mc.replay import load_replay, replay_schedule, replay_to_json
-from repro.mc.scenario import ScenarioInstance
 from repro.models import ModelRestrictionEmpty
 from repro.models.reference import restrict_subdivision
 from repro.obs import OBS as _OBS
-from repro.runtime.scheduler import RandomSchedule, RoundRobinSchedule, Scheduler
+from repro.runtime.scheduler import RandomSchedule, RoundRobinSchedule
 from repro.topology.maps import SimplicialMap
 from repro.topology.standard_chromatic import iterated_standard_chromatic_subdivision
 from repro.topology.vertex import Vertex
@@ -75,7 +80,12 @@ def canonical_map_bytes(mapping: SimplicialMap) -> bytes:
 
 @dataclass
 class EntryResult:
-    """Everything one pipeline cell produced, JSON-friendly."""
+    """Everything one pipeline cell produced, JSON-friendly.
+
+    ``schedules`` counts the terminal executions stage 3 drove.
+    ``extraction_runs`` counts the distinct stage-3 outcomes stage 4 folded
+    back into a decision map; extraction drives no executions of its own.
+    """
 
     task: str
     model: str
@@ -84,7 +94,7 @@ class EntryResult:
     rounds: int | None = None
     reason: str = ""
     schedules: int = 0  # terminal executions driven across all mc cells
-    extraction_runs: int = 0  # executions consumed by the re-extraction
+    extraction_runs: int = 0  # stage-3 outcomes folded by stage 4
     backends: dict = field(default_factory=dict)  # backend -> mode string
     violation: str | None = None
     replay_json: str | None = None
@@ -114,69 +124,6 @@ class EntryResult:
             "minimized_from": self.minimized_from,
             "minimized_to": self.minimized_to,
         }
-
-
-# -- DPOR-backed extraction runner --------------------------------------------
-
-
-@dataclass
-class _FactoriesScenario:
-    """Bare factories as a scenario (no properties): extraction's quantifier."""
-
-    factories: Mapping
-    n_processes: int
-    name: str = "conform-extract"
-
-    def build(self) -> ScenarioInstance:
-        return ScenarioInstance(
-            Scheduler(
-                dict(self.factories),
-                self.n_processes,
-                record_events=True,
-                track_history=True,
-            )
-        )
-
-    def properties(self) -> tuple:
-        return ()
-
-
-class _OutcomeRun:
-    """Quacks like a RunResult for extraction: just the decisions."""
-
-    __slots__ = ("decisions",)
-
-    def __init__(self, decisions: dict[int, Hashable]):
-        self.decisions = decisions
-
-
-def dpor_extraction_runner(
-    *, max_crashes: int = 0, max_depth: int = 600, stats: dict | None = None
-):
-    """An ``extract_decision_map`` runner that quantifies schedules via DPOR.
-
-    Sound because the reduced walk preserves the terminal outcome set (the
-    differential suite pins this against naive enumeration), and much
-    cheaper than prefix-replay enumeration on the levels backend.  ``stats``
-    (optional) accumulates ``"runs"`` — terminal executions driven.
-    """
-
-    def runner(factories, n_processes) -> Iterator[_OutcomeRun]:
-        report = explore(
-            _FactoriesScenario(factories, n_processes),
-            ExploreOptions(
-                crash_budget=CrashBudget(max_crashes=max_crashes),
-                max_depth=max_depth,
-                check_online=False,
-            ),
-            properties=(),
-        )
-        if stats is not None:
-            stats["runs"] = stats.get("runs", 0) + report.stats.executions
-        for decisions_tuple, _crashed in report.outcomes:
-            yield _OutcomeRun(dict(decisions_tuple))
-
-    return runner
 
 
 # -- the per-entry pipeline ----------------------------------------------------
@@ -302,6 +249,8 @@ def _run_entry_impl(
     result.rounds = bundle.rounds
 
     # -- stage 3: model-check both synthesized backends --------------------
+    # backend -> the outcome set of each input top, for exhaustive walks
+    outcomes: dict[str, list[set[Outcome]]] = {}
     for backend in backends:
         exhaustive = (
             backend == "iis"
@@ -334,6 +283,7 @@ def _run_entry_impl(
                         result, scenario, report.violation, replay_dir,
                         minimizable=True,
                     )
+                outcomes.setdefault(backend, []).append(report.outcomes)
             else:
                 violation, runs = _sampled_levels_check(scenario)
                 result.schedules += runs
@@ -344,47 +294,34 @@ def _run_entry_impl(
                         minimizable=False,
                     )
 
-    # -- stage 4: extract the map back, assert byte-identity ----------------
+    # -- stage 4: fold stage 3's outcomes back into a map, byte-compare -----
+    # The IIS backend folds every outcome (<= ``crashes`` crashes); the
+    # levels backend folds its crash-free outcomes only.
     witness = canonical_map_bytes(bundle.result.decision_map)
     model_arg = None if bundle.model.is_identity else bundle.model
-    extract_backends = ["iis"]
-    if bundle.n_processes <= LEVELS_EXHAUSTIVE_MAX_PROCESSES:
-        extract_backends.append("levels")
-    for backend in extract_backends:
-        stats: dict = {}
-
-        def factories_for_inputs(inputs, _backend=backend):
-            protocol = SynthesizedProtocol(
-                bundle.result,
-                _backend,
-                n_processes=bundle.n_processes,
-                decisions=(
-                    None
-                    if mutation is None
-                    else mutated_decisions(bundle.result, bundle.task, mutation)
-                ),
-                expose_views=True,
-                on_missing_view="sentinel",
+    for backend, per_top in outcomes.items():
+        max_crashed = crashes if backend == "iis" else 0
+        runs = [
+            (
+                bundle.inputs_for(input_index),
+                [
+                    dict(decisions)
+                    for decisions, crashed in top_outcomes
+                    if len(crashed) <= max_crashed
+                ],
             )
-            return protocol.factories(inputs)
-
+            for input_index, top_outcomes in enumerate(per_top)
+        ]
+        result.extraction_runs += sum(len(folded) for _inputs, folded in runs)
         try:
             extracted, _domain = extract_decision_map(
-                factories_for_inputs,
-                bundle.task,
-                bundle.rounds,
-                model=model_arg,
-                runner=dpor_extraction_runner(
-                    max_crashes=crashes if backend == "iis" else 0, stats=stats
-                ),
+                None, bundle.task, bundle.rounds, model=model_arg, runs=runs
             )
         except (ExtractionError, ValueError) as exc:
             result.status = "FAIL"
             result.violation = f"extraction ({backend}): {exc}"
-            result.extraction_runs += stats.get("runs", 0)
             _count("conform.fail")
             return result
-        result.extraction_runs += stats.get("runs", 0)
         if canonical_map_bytes(extracted) != witness:
             result.status = "FAIL"
             result.violation = (

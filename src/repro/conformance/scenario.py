@@ -169,22 +169,17 @@ def mutated_decisions(
 # -- the scenario and its property ---------------------------------------------
 
 
-@dataclass
-class ConformanceContext:
-    """Per-build mutable context: the final views the protocols report."""
-
-    views: dict[int, Hashable]
-    inputs: dict[int, Hashable]
-
-
 class ConformanceProperty:
     """Δ-compliance of a synthesized protocol, restricted to admitted runs.
 
-    For the identity model every run is in contract.  For a non-identity
-    model, the decided processes' final views are converted to SDS vertices
-    and the run is judged **in contract** exactly when their simplex lies in
-    the model's restricted subcomplex — that is precisely where the witness
-    map claims coverage, so it is also where a violation is meaningful.  The
+    Processes decide ``(final_view, value)`` pairs (the
+    :mod:`repro.core.extraction` convention) and the instance context is the
+    run's input assignment.  For the identity model every run is in
+    contract.  For a non-identity model, the decided processes' final views
+    are converted to SDS vertices and the run is judged **in contract**
+    exactly when their simplex lies in the model's restricted subcomplex —
+    that is precisely where the witness map claims coverage, so it is also
+    where a violation is meaningful.  The
     check is sound on partial decision sets: an admitted view simplex is
     realized by *some* fully-admitted run, so ``µ`` restricted to it must be
     Δ-compliant no matter how the current run continues.
@@ -217,25 +212,25 @@ class ConformanceProperty:
 
     def _judge(self, instance: "ScenarioInstance") -> str | None:
         scheduler = instance.scheduler
-        decided = {
+        pairs = {
             process.pid: process.decision
             for process in scheduler.processes.values()
             if process.has_decided
         }
-        if not decided:
+        if not pairs:
             return None
-        context: ConformanceContext = instance.context
+        inputs: Mapping[int, Hashable] = instance.context
         vertices: dict[int, Vertex] = {}
-        for pid in decided:
-            if pid not in context.views:
+        decided: dict[int, Hashable] = {}
+        for pid, pair in pairs.items():
+            if not (isinstance(pair, tuple) and len(pair) == 2):
                 return (
                     f"process {pid} decided without reporting a final view "
                     "(synthesis contract broken)"
                 )
+            view, decided[pid] = pair
             try:
-                vertices[pid] = runtime_view_to_vertex(
-                    pid, context.views[pid], self.rounds
-                )
+                vertices[pid] = runtime_view_to_vertex(pid, view, self.rounds)
             except ValueError as exc:
                 return f"process {pid}: final view is not round-structured ({exc})"
         for pid, vertex in vertices.items():
@@ -256,10 +251,10 @@ class ConformanceProperty:
                 f"decision map undefined on admitted views of processes "
                 f"{unmapped} (model {self.model.fingerprint})"
             )
-        if not self.task.validate_outputs(dict(context.inputs), decided):
+        if not self.task.validate_outputs(dict(inputs), decided):
             return (
                 f"decisions {decided!r} are not Δ-compliant for "
-                f"{self.task.name} on inputs {dict(context.inputs)!r}"
+                f"{self.task.name} on inputs {dict(inputs)!r}"
             )
         return None
 
@@ -272,7 +267,13 @@ class ConformanceProperty:
 
 @dataclass
 class ConformanceScenario:
-    """One pipeline cell as a rebuildable, JSON-serializable mc scenario."""
+    """One pipeline cell as a rebuildable, JSON-serializable mc scenario.
+
+    The bundle, the input assignment and the synthesized protocol are built
+    on the first :meth:`build` and reused: the explorer's prefix replays and
+    ddmin rebuild the instance thousands of times, and each rebuild only
+    needs a fresh :class:`Scheduler` over the same protocol.
+    """
 
     task_name: str
     task_args: tuple[int, ...] = ()
@@ -282,6 +283,12 @@ class ConformanceScenario:
     model: str = "iis"
     mutation: tuple[int, int] | None = None
     name: str = field(init=False)
+    _protocol: SynthesizedProtocol | None = field(
+        init=False, default=None, repr=False, compare=False
+    )
+    _inputs: dict[int, Hashable] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.task_args = tuple(int(a) for a in self.task_args)
@@ -302,34 +309,35 @@ class ConformanceScenario:
         )
 
     def build(self) -> ScenarioInstance:
-        bundle = self.bundle()
-        if bundle.result.decision_map is None:
-            raise ValueError(
-                f"{self.name}: {bundle.result!r} carries no decision map "
-                "(conformance scenarios exist only for solvable cells)"
+        protocol = self._protocol
+        if protocol is None:
+            bundle = self.bundle()
+            if bundle.result.decision_map is None:
+                raise ValueError(
+                    f"{self.name}: {bundle.result!r} carries no decision map "
+                    "(conformance scenarios exist only for solvable cells)"
+                )
+            decisions = None
+            if self.mutation is not None:
+                decisions = mutated_decisions(
+                    bundle.result, bundle.task, self.mutation
+                )
+            protocol = self._protocol = SynthesizedProtocol(
+                bundle.result,
+                self.backend,
+                n_processes=bundle.n_processes,
+                decisions=decisions,
+                expose_views=True,
+                on_missing_view="sentinel",
             )
-        inputs = bundle.inputs_for(self.input_index)
-        decisions = None
-        if self.mutation is not None:
-            decisions = mutated_decisions(bundle.result, bundle.task, self.mutation)
-        views: dict[int, Hashable] = {}
-        protocol = SynthesizedProtocol(
-            bundle.result,
-            self.backend,
-            n_processes=bundle.n_processes,
-            decisions=decisions,
-            on_missing_view="sentinel",
-            view_sink=views.__setitem__,
-        )
+            self._inputs = bundle.inputs_for(self.input_index)
         scheduler = Scheduler(
-            protocol.factories(inputs),
-            bundle.n_processes,
+            protocol.factories(self._inputs),
+            protocol.n_processes,
             record_events=True,
             track_history=True,
         )
-        return ScenarioInstance(
-            scheduler, ConformanceContext(views=views, inputs=inputs)
-        )
+        return ScenarioInstance(scheduler, self._inputs)
 
     def properties(self) -> tuple[Property, ...]:
         bundle = self.bundle()

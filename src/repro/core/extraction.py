@@ -15,7 +15,7 @@ simplicial map (the paper's reading of decision functions).
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from repro.core.protocol_complex import runtime_view_to_vertex
 from repro.core.solvability import validate_decision_map
@@ -41,6 +41,7 @@ def extract_decision_map(
     max_crashes: int = 0,
     model=None,
     runner=None,
+    runs: Iterable[tuple[Mapping[int, Hashable], Iterable[Mapping]]] | None = None,
 ) -> tuple[SimplicialMap, Subdivision]:
     """Recover the decision map of a round-``rounds`` IIS protocol.
 
@@ -68,6 +69,12 @@ def extract_decision_map(
     source — it must yield objects with a ``decisions`` mapping; the default
     is the exhaustive :func:`~repro.runtime.scheduler.enumerate_executions`.
 
+    ``runs`` skips the run loop and folds executions driven elsewhere: one
+    ``(inputs, decision mappings)`` pair per input assignment, each mapping
+    ``pid -> (final_view, value)`` (the conformance pipeline passes its
+    model checker's outcomes here).  ``factories_for_inputs`` is then
+    unused and may be ``None``.
+
     Returns the validated map and the subdivision it lives on (the
     restricted one when ``model`` is given).
     """
@@ -80,20 +87,18 @@ def extract_decision_map(
 
         domain = restrict_subdivision(subdivision, rounds, model)
     domain_vertices = domain.complex.vertices
-    if runner is None:
-        def runner(factories, n_processes):
-            return enumerate_executions(
-                factories, n_processes, max_depth=max_depth, max_crashes=max_crashes
-            )
+    if runs is None:
+        if runner is None:
+            def runner(factories, n_processes):
+                return enumerate_executions(
+                    factories, n_processes, max_depth=max_depth, max_crashes=max_crashes
+                )
+        runs = _protocol_runs(factories_for_inputs, task, runner)
     decisions: dict[Vertex, Vertex] = {}
-    for top in task.input_complex.maximal_simplices:
-        inputs: Mapping[int, Hashable] = {
-            v.color: v.payload for v in top
-        }
-        factories: Mapping[int, ProtocolFactory] = factories_for_inputs(inputs)
-        for result in runner(factories, max(inputs) + 1):
-            for pid, decided in result.decisions.items():
-                view_vertex = _view_vertex_of(result, pid, rounds)
+    for inputs, decision_maps in runs:
+        for decided_by in decision_maps:
+            for pid, decided in decided_by.items():
+                view_vertex = _view_vertex_of(pid, decided, rounds)
                 if view_vertex is None:
                     raise ExtractionError(
                         f"process {pid} decided without exposing a round-"
@@ -109,7 +114,7 @@ def extract_decision_map(
                     raise ExtractionError(
                         f"protocol is not a function of its view: "
                         f"{view_vertex!r} decided both {existing.payload!r} "
-                        f"and {value!r}"
+                        f"and {value!r} (inputs {dict(inputs)!r})"
                     )
                 decisions[view_vertex] = image
     missing = domain_vertices - decisions.keys()
@@ -125,13 +130,22 @@ def extract_decision_map(
     return mapping, domain
 
 
-def _view_vertex_of(result, pid: int, rounds: int) -> Vertex | None:
+def _protocol_runs(factories_for_inputs, task: Task, runner) -> Iterator:
+    """The run loop: every maximal input simplex, every execution of it."""
+    for top in task.input_complex.maximal_simplices:
+        inputs: Mapping[int, Hashable] = {v.color: v.payload for v in top}
+        factories: Mapping[int, ProtocolFactory] = factories_for_inputs(inputs)
+        yield inputs, (
+            result.decisions for result in runner(factories, max(inputs) + 1)
+        )
+
+
+def _view_vertex_of(pid: int, decided, rounds: int) -> Vertex | None:
     """The decision protocol convention: Decide((view, value)).
 
     To keep extraction protocol-agnostic, protocols under extraction decide
     the *pair* ``(final_view, decision_value)``; this helper splits it.
     """
-    decided = result.decisions[pid]
     if not (isinstance(decided, tuple) and len(decided) == 2):
         return None
     view, _value = decided
@@ -139,8 +153,3 @@ def _view_vertex_of(result, pid: int, rounds: int) -> Vertex | None:
         return runtime_view_to_vertex(pid, view, rounds)
     except ValueError:
         return None
-
-
-def paired_decisions(result_decisions: Mapping[int, object]) -> dict[int, object]:
-    """Strip the views from ``(view, value)`` decision pairs."""
-    return {pid: pair[1] for pid, pair in result_decisions.items()}

@@ -18,7 +18,7 @@ Two backends are provided, closing the simulation circle of experiment E10:
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Mapping
+from typing import Hashable, Mapping
 
 from repro.core.protocol_complex import runtime_view_to_vertex
 from repro.core.solvability import SolvabilityResult, SolvabilityStatus
@@ -80,10 +80,7 @@ class SynthesizedProtocol:
     the decision map's domain: ``"error"`` (the default — an out-of-domain
     view under the *identity* model is a Lemma 3.3 violation, i.e. a library
     bug) raises, ``"sentinel"`` decides :data:`UNMAPPED_VIEW` so a property
-    oracle can judge the run instead; ``view_sink`` (pid, raw_view) is
-    called with the pre-conversion runtime view right before deciding, which
-    is how the conformance scenario records final views for its terminal
-    model-admittance check.
+    oracle can judge the run instead.
     """
 
     def __init__(
@@ -95,7 +92,6 @@ class SynthesizedProtocol:
         decisions: Mapping | None = None,
         expose_views: bool = False,
         on_missing_view: str = "error",
-        view_sink: Callable[[int, Hashable], None] | None = None,
     ):
         _require_solvable(result)
         if backend not in ("iis", "levels"):
@@ -108,7 +104,6 @@ class SynthesizedProtocol:
         self.n_processes = n_processes
         self.expose_views = expose_views
         self.on_missing_view = on_missing_view
-        self.view_sink = view_sink
         if decisions is not None:
             self._decisions = dict(decisions)
         else:
@@ -125,7 +120,6 @@ class SynthesizedProtocol:
         backend = self.backend
         expose_views = self.expose_views
         sentinel_mode = self.on_missing_view == "sentinel"
-        view_sink = self.view_sink
         owner = self  # n_processes may be filled in by run(); read it late
 
         def make(p: int):
@@ -139,8 +133,6 @@ class SynthesizedProtocol:
                             p, state, f"is-round-{round_index}", owner.n_processes
                         )
                         state = view
-                if view_sink is not None:
-                    view_sink(p, state)
                 if sentinel_mode:
                     try:
                         vertex = runtime_view_to_vertex(p, state, rounds)

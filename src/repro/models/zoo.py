@@ -4,11 +4,15 @@ Five models ship:
 
 * ``iis`` — the identity model (full wait-free IIS; every engine treats it
   as a strict no-op).
-* ``t_resilient(t)`` — at most ``t`` processes may be "late": every round's
-  first concurrency class must miss at most ``t`` of that round's members,
-  and at most ``t`` colors may sit out entirely.  ``t = n`` (for ``n + 1``
+* ``t_resilient(t)`` — a per-round block filter: every round's first
+  concurrency class must miss at most ``t`` of that round's members, and
+  at most ``t`` colors may sit out entirely.  ``t = n`` (for ``n + 1``
   processes) restricts nothing; ``t = 0`` keeps only the fault-free,
-  fully-simultaneous runs.
+  fully-simultaneous runs.  This is *not* classical ``t``-resilience: the
+  filter binds every round, so each round has a synchronous core of all
+  but ``t`` members, and consensus among three processes is solvable under
+  ``t_resilient(1)`` (at two rounds) although FLP rules it out
+  1-resiliently.
 * ``k_concurrent(k)`` — at most ``k`` processes take a step at the same
   time: every concurrency class has size at most ``k``.  ``k = 1`` is the
   fully-sequential model; ``k >= n + 1`` restricts nothing.
@@ -63,7 +67,7 @@ class IIS(Model):
 
 
 class TResilient(Model):
-    """t-resilience: at most ``t`` processes may lag or sit out.
+    """A per-round block filter: each round's first block misses <= ``t``.
 
     Per round, the first concurrency class — the processes whose snapshot
     misses everyone else in the round — must have size at least
@@ -72,6 +76,12 @@ class TResilient(Model):
     participate at all.  ``t_resilient(0)`` keeps exactly the
     fully-simultaneous full-participation runs (consensus becomes solvable);
     ``t_resilient(n)`` on ``n + 1`` processes is the identity.
+
+    Despite the name this is not classical ``t``-resilience (at most ``t``
+    crashes, asynchrony otherwise unconstrained): the filter applies to
+    every round, not just to the processes that lag forever, so it is
+    strictly stronger.  ``set_consensus(3, 1)`` — consensus, impossible
+    1-resiliently by FLP — is solvable at ``b = 2`` under ``t_resilient(1)``.
     """
 
     name = "t_resilient"
@@ -289,7 +299,9 @@ _REGISTRY: dict[str, ModelSpec] = {
     spec.name: spec
     for spec in (
         ModelSpec("iis", IIS, 0, "full wait-free IIS (identity; the default)"),
-        ModelSpec("t_resilient", TResilient, 1, "at most t processes lag or crash"),
+        ModelSpec(
+            "t_resilient", TResilient, 1, "per round, the first block misses <= t"
+        ),
         ModelSpec("k_concurrent", KConcurrent, 1, "at most k processes run at once"),
         ModelSpec(
             "k_set_consensus", KSetConsensus, 1, "k-set consensus as an affine task"

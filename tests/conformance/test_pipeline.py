@@ -155,26 +155,23 @@ class TestConformanceProperty:
             name: str = "partial-witness"
 
             def build(self):
-                views = {}
+                # Decision-pair contract: each process decides
+                # (final_view, value); the context is the input assignment.
                 protocol = SynthesizedProtocol(
                     bundle.result,
                     "iis",
                     n_processes=bundle.n_processes,
                     decisions=partial,
+                    expose_views=True,
                     on_missing_view="sentinel",
-                    view_sink=views.__setitem__,
                 )
-                from repro.conformance.scenario import ConformanceContext
-
                 scheduler = Scheduler(
                     protocol.factories(self.inputs),
                     bundle.n_processes,
                     record_events=True,
                     track_history=True,
                 )
-                return ScenarioInstance(
-                    scheduler, ConformanceContext(views=views, inputs=self.inputs)
-                )
+                return ScenarioInstance(scheduler, self.inputs)
 
             def properties(self):
                 return (

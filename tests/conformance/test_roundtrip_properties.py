@@ -10,12 +10,13 @@ over random tasks instead of the curated zoo.  UNSOLVABLE draws are a SKIP
 
 from hypothesis import event, given, settings
 
-from repro.conformance.pipeline import canonical_map_bytes, dpor_extraction_runner
+from repro.conformance.pipeline import canonical_map_bytes
 from repro.core.extraction import extract_decision_map
 from repro.core.protocol_synthesis import SynthesizedProtocol
 from repro.core.solvability import SolvabilityStatus, solve_task
 
 from ..strategies import tasks
+from .oracles import dpor_extraction_runner
 
 
 def _extract_with(result, task, backend, n_processes):

@@ -169,6 +169,26 @@ class TestKnownAnswers:
         )
         assert result.decision_map is not None  # validate_decision_map ran
 
+    def test_t_resilient_is_a_per_round_filter_not_classical_resilience(self):
+        """Three-process consensus is impossible 1-resiliently (FLP), yet
+        t_resilient(1) admits a validated 2-round map: the filter forces a
+        synchronous core of two processes into every round."""
+        from repro.core.solvability import validate_decision_map
+        from repro.models.reference import restrict_subdivision
+        from repro.topology.standard_chromatic import (
+            iterated_standard_chromatic_subdivision,
+        )
+
+        task = set_consensus_task(3, 1)
+        model = resolve_model("t_resilient", (1,))
+        result = solve_task(task, 2, model=model)
+        assert result.status is SolvabilityStatus.SOLVABLE
+        assert result.rounds == 2
+        subdivision = restrict_subdivision(
+            iterated_standard_chromatic_subdivision(task.input_complex, 2), 2, model
+        )
+        validate_decision_map(subdivision, task, result.decision_map)
+
     def test_empty_restriction_raises_not_vacuously_solves(self):
         # Live set {2} names a color the 2-process base never has.
         with pytest.raises(ModelRestrictionEmpty):
